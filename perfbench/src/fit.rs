@@ -23,9 +23,13 @@ use crate::{Args, Ctx};
 /// Worker threads for the row-sharded phases (the box has two cores).
 const THREADS: usize = 2;
 /// Data generations timed per run; `setup_s` is their median.
-const SETUP_REPS: usize = 15;
-/// Rows per single-point labeling latency pass (one pass per fit).
-const LATENCY_ROWS: usize = 2_000;
+const SETUP_REPS: usize = 31;
+/// Rows per single-point labeling latency pass, strided over the whole
+/// data set; every pass labels the same rows.
+const LATENCY_ROWS: usize = 500;
+/// Latency passes run back to back after every fit, so they sample the
+/// host's state all through the run.
+pub const LATENCY_PASSES: usize = 24;
 /// Least share of the composed fit's wall time its phase spans must
 /// cover (the traced breakdown's tolerance).
 const SPAN_COVERAGE: f64 = 0.98;
@@ -422,6 +426,11 @@ pub fn run(spec: &FitSpec, args: &Args, ctx: &mut Ctx) {
     let mut granted = Vec::new();
     let mut snapshot: Option<(ModelSnapshot, f64)> = None;
     let mut latency = LatencyPasses::default();
+    let latency_rows: Vec<&Transaction> = data
+        .iter()
+        .step_by((n / LATENCY_ROWS).max(1))
+        .take(LATENCY_ROWS)
+        .collect();
     let mut traced: Vec<TracedFit> = Vec::new();
     while started.elapsed() < budget || untraced.len() < MIN_FITS {
         let observer = Observer::new();
@@ -457,17 +466,13 @@ pub fn run(spec: &FitSpec, args: &Args, ctx: &mut Ctx) {
             snapshot = Some((built, secs(t.elapsed())));
         }
         let (snap, _) = snapshot.as_ref().expect("built above");
-        // Rows strided over the whole data set, offset per pass, so every
-        // pass sees the same mix of clusters.
-        let stride = (n / LATENCY_ROWS).max(1);
-        let offset = (untraced.len() - 1) % stride;
-        let rows: Vec<&Transaction> = data
-            .iter()
-            .skip(offset)
-            .step_by(stride)
-            .take(LATENCY_ROWS)
-            .collect();
-        latency.add(&label_latency(snap, &rows, &mut ctx.report));
+        label_latency(
+            snap,
+            &latency_rows,
+            LATENCY_PASSES,
+            &mut latency,
+            &mut ctx.report,
+        );
 
         if args.trace {
             let observer = Observer::new();
@@ -508,7 +513,8 @@ pub fn run(spec: &FitSpec, args: &Args, ctx: &mut Ctx) {
     println!("single-point label latency: {}", latency.describe("ms"));
 
     ctx.report.metric("points_per_s", n as f64 / fit_s, "1/s");
-    ctx.report.metric("latency_p50_ms", latency.p50(), "ms");
+    ctx.report
+        .metric("latency_p50_ms", latency.quiet_p50(), "ms");
     ctx.report
         .metric("latency.p99_ms", latency.percentile(0.99), "ms");
     ctx.report.metric("purity", fit_purity, "ratio");
@@ -527,27 +533,33 @@ pub fn run(spec: &FitSpec, args: &Args, ctx: &mut Ctx) {
 }
 
 /// Times `ModelSnapshot::label` on each row (one call per sample, in
-/// ms) and checks it against the chunk kernel's answer for the rows.
+/// ms), `passes` passes over `rows` back to back, adding each pass to
+/// `latency`. Every answer is checked against the chunk kernel's.
 pub fn label_latency(
     snapshot: &ModelSnapshot,
     rows: &[&Transaction],
+    passes: usize,
+    latency: &mut LatencyPasses,
     report: &mut Report,
-) -> Vec<f64> {
+) {
     let expected = snapshot.label_chunk(rows, 1);
     let mut samples = Vec::with_capacity(rows.len());
-    let mut wrong = 0u64;
-    for (row, want) in rows.iter().zip(&expected) {
-        let t = Instant::now();
-        let got = std::hint::black_box(snapshot.label(std::hint::black_box(row)));
-        samples.push(ms(t.elapsed()));
-        wrong += u64::from(got != *want);
+    for _ in 0..passes {
+        samples.clear();
+        let mut wrong = 0u64;
+        for (row, want) in rows.iter().zip(&expected) {
+            let t = Instant::now();
+            let got = std::hint::black_box(snapshot.label(std::hint::black_box(row)));
+            samples.push(ms(t.elapsed()));
+            wrong += u64::from(got != *want);
+        }
+        report.ops(
+            rows.len() as u64,
+            wrong,
+            "single-point labels equal label_chunk",
+        );
+        latency.add(&samples);
     }
-    report.ops(
-        rows.len() as u64,
-        wrong,
-        "single-point labels equal label_chunk",
-    );
-    samples
 }
 
 /// Prints the traced fits' per-phase breakdown and records the per-layer

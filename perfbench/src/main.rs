@@ -10,6 +10,7 @@
 //! `{"correct", "attempted", "failed", "metrics"}`: the end-to-end
 //! metrics with `--trace 0`, the per-layer metrics with `--trace 1`.
 
+mod affinity;
 mod fit;
 mod report;
 mod serve;

@@ -188,45 +188,58 @@ impl Latency {
     }
 }
 
-/// Latency measured in passes spread over a run. Each pass's
-/// percentiles come from its own sorted raw samples and the run reports
-/// their medians, so a host stall that spoils one pass does not move the
-/// result.
+/// Latency measured in passes spread over a run (label passes, or
+/// windows of an open-loop phase). Each pass's median comes from its own
+/// sorted raw samples; tails come from all samples pooled.
+///
+/// [`LatencyPasses::p50`] is the median over passes, so a host stall
+/// that spoils one pass does not move it. [`LatencyPasses::quiet_p50`]
+/// serves CPU-bound kernel timings: on a shared host whole passes of
+/// them run up to twice as slow as others (another guest contends for
+/// the core, and every call in the pass slows alike), and how much of a
+/// run falls in such stretches varies from run to run, so a median over
+/// passes jumps between the two speeds. It is the 10th percentile of the
+/// per-pass medians: the median latency of the least contended passes.
 #[derive(Debug, Default)]
 pub struct LatencyPasses {
-    passes: Vec<Latency>,
+    passes: Vec<f64>,
     pooled: Vec<f64>,
 }
 
+/// Share of passes allowed below [`LatencyPasses::quiet_p50`].
+const QUIET_PASSES: f64 = 0.1;
+
 impl LatencyPasses {
     pub fn add(&mut self, samples: &[f64]) {
-        self.passes.push(Latency::new(samples));
-        self.pooled.extend_from_slice(samples);
+        if !samples.is_empty() {
+            self.passes.push(Latency::new(samples).p50);
+            self.pooled.extend_from_slice(samples);
+        }
     }
 
+    /// Median over passes of each pass's median.
     pub fn p50(&self) -> f64 {
-        median(&self.passes.iter().map(|l| l.p50).collect::<Vec<_>>())
+        median(&self.passes)
     }
 
-    /// Median over passes of each pass's percentile `q`.
+    /// 10th percentile over passes of each pass's median.
+    pub fn quiet_p50(&self) -> f64 {
+        let mut p50s = self.passes.clone();
+        p50s.sort_by(f64::total_cmp);
+        percentile_sorted(&p50s, QUIET_PASSES)
+    }
+
+    /// Percentile `q` of all samples pooled.
     pub fn percentile(&self, q: f64) -> f64 {
-        median(
-            &self
-                .passes
-                .iter()
-                .map(|l| l.percentile(q))
-                .collect::<Vec<_>>(),
-        )
+        Latency::new(&self.pooled).percentile(q)
     }
 
     pub fn describe(&self, unit: &str) -> String {
-        let least = self.passes.iter().map(|l| l.count).min().unwrap_or(0);
         format!(
-            "{} passes of >= {least} samples, median over passes: p50 {:.4} {unit}, p90 {:.4} {unit}, p99 {:.4} {unit}; pooled {}",
+            "{} passes, per-pass median: median over passes {:.4} {unit}, p10 over passes {:.4} {unit}; pooled {}",
             self.passes.len(),
             self.p50(),
-            self.percentile(0.9),
-            self.percentile(0.99),
+            self.quiet_p50(),
             Latency::new(&self.pooled).describe(unit)
         )
     }

@@ -7,7 +7,8 @@
 //!   admin thread re-uploads the alternate model at a fixed low rate
 //!   (`Registry::install_text`), so registry writes race label reads.
 //!   Every answer must equal `ModelSnapshot::label` of the model named
-//!   by its `X-Rock-Model-Fingerprint` header.
+//!   by its `X-Rock-Model-Fingerprint` header. The whole process runs on
+//!   one core during this phase (see [`crate::affinity`]).
 //! * **Batch phase** — a closed loop over two connections sends 64-line
 //!   NDJSON bodies; every line must match the default model.
 //! * **Rate ladder** (traced runs) — open-loop rungs of rising rate; the
@@ -25,7 +26,7 @@ use rock_datasets::synthetic::MushroomModel;
 use rock_serve::server::{ServeConfig, Server, ServerHandle};
 
 use crate::report::{median, ms, secs, Latency, LatencyPasses, Stopwatch};
-use crate::{Args, Ctx};
+use crate::{affinity, Args, Ctx};
 
 const POINTS: usize = 2_000;
 const K: usize = 6;
@@ -42,9 +43,12 @@ const CONNS: usize = 2;
 const REFERENCE_RPS: f64 = 1_000.0;
 /// Latency and throughput are reported as medians over windows of this
 /// many seconds, so a host stall that spoils one window does not move
-/// the result. A reference window holds 1 000 requests, so its p99 has
-/// ten samples beyond it.
-const REFERENCE_WINDOW_S: f64 = 1.0;
+/// the result. A reference window holds 200 requests; tails come from
+/// all windows pooled.
+const REFERENCE_WINDOW_S: f64 = 0.2;
+/// How long before a reference-phase request is due its connection stops
+/// sleeping and spins (see [`wait_until`]).
+const SPIN_AHEAD: Duration = Duration::from_micros(250);
 const BATCH_WINDOW_S: f64 = 0.5;
 /// Admin re-uploads per second during the reference phase.
 const SWAPS_PER_S: f64 = 5.0;
@@ -60,7 +64,7 @@ const LADDER_FINE: f64 = 1.05;
 const LADDER_MAX_RPS: f64 = 50_000.0;
 /// Least requests per rung, so its p99 has ten samples beyond it.
 const RUNG_MIN_REQUESTS: f64 = 1_000.0;
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 
 /// The served models and everything needed to check their answers.
 struct Models {
@@ -190,6 +194,31 @@ impl Client {
         self.writer.write_all(request)
     }
 
+    /// Spins (yielding the core) until the reply's first bytes have
+    /// arrived, so the generator's own wake-up is not part of the latency
+    /// it measures.
+    fn await_reply(&mut self) -> std::io::Result<()> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(());
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        self.writer.set_nonblocking(true)?;
+        let mut byte = [0u8; 1];
+        let ready = loop {
+            match self.writer.peek(&mut byte) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() > deadline {
+                        break Err(std::io::ErrorKind::TimedOut.into());
+                    }
+                    std::thread::yield_now();
+                }
+                other => break other.map(drop),
+            }
+        };
+        self.writer.set_nonblocking(false)?;
+        ready
+    }
+
     fn receive(&mut self) -> std::io::Result<Reply> {
         let mut line = String::new();
         self.reader.read_line(&mut line)?;
@@ -288,16 +317,34 @@ impl OpenLoop {
     }
 }
 
+/// Sleeps until `SPIN_AHEAD` before `due`, then spins (yielding the
+/// core) to it: a thread sleeping to the due time wakes 50-100 us late
+/// on a virtual machine, and that lateness would count in every
+/// request's latency.
+fn wait_until(due: Instant) {
+    let now = Instant::now();
+    if due > now + SPIN_AHEAD {
+        std::thread::sleep(due - now - SPIN_AHEAD);
+    }
+    while Instant::now() < due {
+        std::thread::yield_now();
+    }
+}
+
 /// Sends single-point requests at `rate` for `duration`, split evenly
 /// and interleaved over `CONNS` connections, each request timed from its
 /// due time. A request that fails, is shed or answers a wrong label
-/// counts as failed and records no latency. `traced` adds a span around
-/// an in-process kernel call per request.
+/// counts as failed and records no latency. `punctual` spins to each due
+/// time and for each reply (the reference phase, where the connections
+/// idle most of the time); otherwise the generator sleeps and blocks, so
+/// that at ladder rates it leaves the cores to the server.
+/// `traced` adds a span around an in-process kernel call per request.
 fn open_loop(
     addr: SocketAddr,
     models: &Models,
     rate: f64,
     duration: Duration,
+    punctual: bool,
     traced: bool,
 ) -> OpenLoop {
     let per_conn = ((rate * secs(duration)) / CONNS as f64).ceil().max(1.0) as usize;
@@ -317,15 +364,19 @@ fn open_loop(
                     for i in 0..per_conn {
                         let row = (i * CONNS + c) % POINTS;
                         let due = start + offset + period.mul_f64(i as f64);
-                        let now = Instant::now();
-                        if now < due {
-                            std::thread::sleep(due - now);
+                        if punctual {
+                            wait_until(due);
+                        } else if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                            std::thread::sleep(wait);
                         }
                         let sent = Instant::now();
                         out.attempted += 1;
-                        let reply = client
-                            .send(&models.requests[row])
-                            .and_then(|()| client.receive());
+                        let reply = client.send(&models.requests[row]).and_then(|()| {
+                            if punctual {
+                                client.await_reply()?;
+                            }
+                            client.receive()
+                        });
                         let done = Instant::now();
                         let ok = reply.ok().and_then(|r| {
                             let m = model_of(models, &r)?;
@@ -373,8 +424,9 @@ fn open_loop(
 }
 
 /// The reference phase: open-loop load at `REFERENCE_RPS` while an admin
-/// thread alternates the default model between the two fits. Returns
-/// the load and the install times (ms); leaves the main model active.
+/// thread alternates the default model between the two fits, with the
+/// whole process on one core (see [`affinity`]). Returns the load and
+/// the install times (ms); leaves the main model active.
 fn reference_phase(
     handle: &ServerHandle,
     models: &Models,
@@ -382,6 +434,10 @@ fn reference_phase(
     traced: bool,
     ctx: &mut Ctx,
 ) -> (OpenLoop, Vec<f64>) {
+    match affinity::pin_process() {
+        Some(cpu) => println!("reference phase: process pinned to cpu {cpu}"),
+        None => println!("reference phase: process not pinned"),
+    }
     let stop = AtomicBool::new(false);
     let registry = handle.registry();
     let (load, swaps) = std::thread::scope(|scope| {
@@ -411,10 +467,11 @@ fn reference_phase(
             }
             (times, failed)
         });
-        let load = open_loop(handle.addr(), models, REFERENCE_RPS, duration, traced);
+        let load = open_loop(handle.addr(), models, REFERENCE_RPS, duration, true, traced);
         stop.store(true, Ordering::Release);
         (load, admin.join().expect("admin thread"))
     });
+    affinity::unpin_process();
     let (times, swap_failed) = swaps;
     ctx.report
         .ops(times.len() as u64, swap_failed, "admin re-uploads accepted");
@@ -526,7 +583,7 @@ fn parse_cluster(line: &str) -> Option<u32> {
 /// limit and the generator was not falling behind at the end.
 fn rung(handle: &ServerHandle, models: &Models, rate: f64) -> bool {
     let duration = Duration::from_secs_f64((RUNG_MIN_REQUESTS / rate).max(0.3));
-    let load = open_loop(handle.addr(), models, rate, duration, false);
+    let load = open_loop(handle.addr(), models, rate, duration, false, false);
     let lat = load.latency();
     let pass =
         load.failed == 0 && lat.percentile(0.99) <= LIMIT_MS && load.final_late_ms <= LIMIT_MS;
@@ -609,7 +666,7 @@ pub fn run(args: &Args, ctx: &mut Ctx) {
 
     let total = Duration::from_secs_f64(args.seconds);
     let (ref_share, batch_share) = if args.trace { (0.25, 0.15) } else { (0.6, 0.4) };
-    // Whole windows only: every reference window holds its 1 000 requests.
+    // Whole windows only: every reference window holds its 200 requests.
     let windows = (secs(total) * ref_share / REFERENCE_WINDOW_S)
         .floor()
         .max(1.0);

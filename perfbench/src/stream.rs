@@ -16,7 +16,7 @@ use rock_core::stream::partial_path;
 use rock_datasets::cache::{CacheBuilder, DatasetCache};
 use rock_datasets::synthetic::BasketModel;
 
-use crate::fit::label_latency;
+use crate::fit::{label_latency, LATENCY_PASSES};
 use crate::report::{median, secs, Latency, LatencyPasses, Stopwatch, Timing};
 use crate::{Args, Ctx};
 
@@ -39,10 +39,8 @@ const THREADS: usize = 2;
 const SETUP_REPS: usize = 3;
 const MIN_PASSES: usize = 3;
 /// Every `LATENCY_STRIDE`-th row is kept for the single-point latency
-/// passes (10 000 rows spread over all clusters), `LATENCY_PASS_ROWS`
-/// of them per pass.
-const LATENCY_STRIDE: usize = 100;
-const LATENCY_PASS_ROWS: usize = 2_000;
+/// passes (1 000 rows spread over all clusters, labeled in every pass).
+const LATENCY_STRIDE: usize = 1_000;
 
 fn labeling() -> LabelingConfig {
     LabelingConfig {
@@ -212,6 +210,7 @@ pub fn run(args: &Args, ctx: &mut Ctx) {
         labels.extend(chunk_labels.iter().map(|l| l.map(|c| ClusterId(c as u32))));
         latency_rows.extend(chunk.into_iter().step_by(LATENCY_STRIDE));
     }
+    let latency_refs: Vec<&Transaction> = latency_rows.iter().collect();
     let mut reference = Vec::new();
     write_assignments(&mut reference, &labels).expect("in-memory write");
     let predicted: Vec<Option<u32>> = labels.iter().map(|l| l.map(|c| c.0)).collect();
@@ -244,14 +243,13 @@ pub fn run(args: &Args, ctx: &mut Ctx) {
         );
         untraced.extend(timing.map(|t| t.wall));
         granted.extend(timing.map(|t| t.granted()));
-        let first = (untraced.len() * LATENCY_PASS_ROWS) % latency_rows.len();
-        let rows: Vec<&Transaction> = latency_rows
-            .iter()
-            .cycle()
-            .skip(first)
-            .take(LATENCY_PASS_ROWS)
-            .collect();
-        latency.add(&label_latency(&snapshot, &rows, &mut ctx.report));
+        label_latency(
+            &snapshot,
+            &latency_refs,
+            LATENCY_PASSES,
+            &mut latency,
+            &mut ctx.report,
+        );
         if args.trace {
             timed.reads.lock().expect("no reader panicked").clear();
             let observer = Observer::new();
@@ -280,7 +278,7 @@ pub fn run(args: &Args, ctx: &mut Ctx) {
 
     let r = &mut ctx.report;
     r.metric("points_per_s", ROWS as f64 / granted_s, "1/s");
-    r.metric("latency_p50_ms", latency.p50(), "ms");
+    r.metric("latency_p50_ms", latency.quiet_p50(), "ms");
     r.metric("latency.p99_ms", latency.percentile(0.99), "ms");
     r.metric("purity", stream_purity, "ratio");
 
