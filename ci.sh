@@ -4,7 +4,8 @@
 #
 #   ./ci.sh                # every correctness gate, release build
 #   ./ci.sh --quick        # same gates, but skip the release build
-#                          # (debug tests only) — the fast pre-push loop
+#                          # (debug tests only, no perfbench run) — the
+#                          # fast pre-push loop
 #   ./ci.sh --bench        # performance-regression gate only: regenerate
 #                          # telemetry metrics and compare them against
 #                          # the committed results/BENCH_*.json baselines
@@ -86,9 +87,9 @@ gate_tier1() {
     fi
     cargo test --offline --workspace --exclude rock-serve -q --lib --bins
     cargo test --offline --workspace --exclude rock-serve -q --doc
-    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, analyzer fixtures)"
+    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, agglomerate_reference, analyzer fixtures)"
     cargo test --offline -q --test pipeline --test proptests --test extensions \
-        --test telemetry --test snapshot --test neighbors_join
+        --test telemetry --test snapshot --test neighbors_join --test agglomerate_reference
     cargo test --offline -q -p rock-analyze --test fixtures
 }
 
@@ -155,6 +156,35 @@ gate_trace() {
         --export-chrome target/trace/ci-chrome.json >/dev/null
 }
 
+gate_perfbench() {
+    # Perfbench gate: the repo benchmark (perfbench/, a package outside the
+    # workspace that composes the pipeline from the phase entry points)
+    # must still build and pass its own output oracles. Each workload runs
+    # for one second untraced; the last stdout line of a run is its
+    # summary, which must report "correct": true and "failed": 0.
+    if [ "$quick" -eq 1 ]; then
+        echo "== perfbench gate skipped under --quick (it needs a release build)"
+        return 0
+    fi
+    echo "== perfbench gate (build + one-second run of each workload)"
+    CARGO_TARGET_DIR=target/perfbench cargo build --offline --release -q \
+        --manifest-path perfbench/Cargo.toml
+    mkdir -p target/perfbench/runs
+    for w in mushroom-dense basket-sparse serve-mixed stream-1m; do
+        out="target/perfbench/runs/$w.txt"
+        ./target/perfbench/release/perfbench --workload "$w" --seed 1 \
+            --seconds 1 --trace 0 > "$out"
+        last=$(tail -n 1 "$out")
+        case "$last" in
+            *'"correct": true'*'"failed": 0,'*) echo "-- $w: correct, 0 failed" ;;
+            *)
+                echo "-- $w: oracle failure, last line: $last" >&2
+                return 1
+                ;;
+        esac
+    done
+}
+
 gate_bench() {
     # Wall-time baselines are machine-specific, so this gate is separate
     # from the correctness gates: run it on the machine that committed
@@ -216,7 +246,7 @@ gate_bench() {
 # Full-run gate order. `bench` is deliberately absent: wall-time
 # baselines are machine-specific, so it only runs when asked for
 # (--bench or --gate bench) — same contract as before the selector.
-GATES="fmt clippy analyze tier1 chaos stream serve registry trace"
+GATES="fmt clippy analyze tier1 chaos stream serve registry trace perfbench"
 
 list_gates() {
     echo "ci.sh gates (run one with --gate <name>):"
@@ -229,6 +259,7 @@ list_gates() {
     echo "  serve     rock-serve build + chaos + loopback smoke"
     echo "  registry  multi-model admin plane smoke"
     echo "  trace     traced run + rock-trace check/report/export"
+    echo "  perfbench repo benchmark build + 1 s run per workload, oracles must pass (not under --quick)"
     echo "  bench     regression gate vs results/BENCH_*.json (not in full runs)"
 }
 

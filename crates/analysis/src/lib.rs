@@ -22,7 +22,7 @@
 //! Findings are machine-readable, one per line:
 //!
 //! ```text
-//! crates/core/src/heap.rs:114: core-unwrap: `.expect()` in rock-core library code; …
+//! crates/core/src/snapshot.rs:114: core-unwrap: `.expect()` in rock-core library code; …
 //! ```
 
 #![forbid(unsafe_code)]

@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn scoping_follows_workspace_layout() {
-        assert!(applicable_lints("crates/core/src/heap.rs").contains(&"core-unwrap"));
+        assert!(applicable_lints("crates/core/src/agglomerate.rs").contains(&"core-unwrap"));
         assert!(!applicable_lints("crates/baselines/src/kmodes.rs").contains(&"core-unwrap"));
         assert!(applicable_lints("crates/baselines/src/kmodes.rs").contains(&"wall-clock"));
         assert!(!applicable_lints("crates/core/src/telemetry/mod.rs").contains(&"wall-clock"));

@@ -140,7 +140,7 @@ fn l10_guard_loop_fixture_exact_lines() {
     assert_eq!(lines, vec![(4, "guard-loop")]);
     // Outside the phase files the lint is out of scope — and its allow
     // directive, now suppressing nothing, is itself reported stale.
-    let elsewhere = analyze_source("crates/core/src/heap.rs", src);
+    let elsewhere = analyze_source("crates/core/src/hash.rs", src);
     let lines: Vec<(u32, &str)> = elsewhere.iter().map(|f| (f.line, f.lint)).collect();
     assert_eq!(lines, vec![(20, "unused-allow")]);
 }

@@ -1,14 +1,13 @@
 //! Micro-benchmarks for ROCK's phase kernels: similarity, neighbor
-//! graph, link table, indexed heap and goodness evaluation. Plain
+//! graph, link table, merge loop and goodness evaluation. Plain
 //! `std::time` timing via [`rock_bench::harness`] — run with
 //! `cargo bench --bench microbench`.
 
 use std::hint::black_box;
 
 use rock_bench::harness::{bench, group};
-use rock_core::agglomerate::GoodnessKey;
+use rock_core::agglomerate::{agglomerate, AgglomerateConfig};
 use rock_core::goodness::{Goodness, MarketBasket};
-use rock_core::heap::IndexedHeap;
 use rock_core::links::LinkTable;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::prelude::*;
@@ -56,23 +55,18 @@ fn bench_links() {
     }
 }
 
-fn bench_heap() {
-    group("heap");
-    bench("insert-update-remove/1000", 20, 1, || {
-        let mut h: IndexedHeap<GoodnessKey> = IndexedHeap::with_capacity(1000);
-        for i in 0..1000u32 {
-            h.insert_or_update(i, GoodnessKey::new((i % 97) as f64, i));
-        }
-        for i in (0..1000u32).step_by(3) {
-            h.insert_or_update(i, GoodnessKey::new((i % 31) as f64, i));
-        }
-        for i in (0..1000u32).step_by(2) {
-            black_box(h.remove(i));
-        }
-        while let Some(e) = h.pop() {
-            black_box(e);
-        }
-    });
+fn bench_agglomerate() {
+    group("agglomerate");
+    let good = Goodness::new(0.25, &MarketBasket).unwrap();
+    for &(n_per_block, samples) in &[(125usize, 10), (500, 5)] {
+        let data = dataset(n_per_block);
+        let links = LinkTable::compute(&NeighborGraph::compute(&data, &Jaccard, 0.25, 1).unwrap());
+        let mut config = AgglomerateConfig::new(4);
+        config.record_history = false;
+        bench(&format!("merge-loop/{}", data.len()), samples, 1, || {
+            agglomerate(data.len(), &links, &good, &config).unwrap()
+        });
+    }
 }
 
 fn bench_goodness() {
@@ -98,6 +92,6 @@ fn main() {
     bench_similarity();
     bench_neighbors();
     bench_links();
-    bench_heap();
+    bench_agglomerate();
     bench_goodness();
 }

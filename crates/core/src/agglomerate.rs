@@ -1,12 +1,13 @@
 //! The ROCK agglomerative merge engine (paper §4, procedure `cluster`).
 //!
-//! Every point starts as a singleton cluster. Each cluster `i` owns a
-//! *local heap* `q[i]` of the clusters linked to it, ordered by the
-//! goodness measure; a *global heap* `Q` orders clusters by the goodness of
-//! their best local merge. Each iteration merges the globally best pair
-//! `(u, v)`, folds `v`'s link row into `u`'s, and repairs the heaps of all
-//! affected clusters — `O(links touched · log n)` per merge, exactly the
-//! bookkeeping the paper describes.
+//! Every point starts as a singleton cluster. Each iteration merges the
+//! linked pair `(u, v)` of highest goodness (ties: smaller `u`, then
+//! smaller `v`), keeping `u` and absorbing `v` — the merge order of the
+//! paper's local heaps `q[i]` and global heap `Q`. The bookkeeping is
+//! simpler than the paper's: one pair heap of candidate merges, with
+//! entries that a merge makes stale left in place and skipped when they
+//! surface, so a merge costs `O(row size + partners · log heap)` and
+//! touches no partner's row.
 //!
 //! The loop stops when the requested number of clusters is reached or when
 //! no cross-cluster links remain (the paper's termination condition; the
@@ -17,14 +18,14 @@
 //! clusters that are still very small are discarded — outliers tend to form
 //! singletons or tiny groups that stop participating in merges early.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::cast;
 use crate::contracts;
 use crate::error::{Result, RockError};
 use crate::goodness::Goodness;
 use crate::guard::{Guard, Trip};
-use crate::heap::IndexedHeap;
 use crate::links::LinkTable;
 use crate::telemetry::trace::{LatencyHistogram, Payload, Tracer};
 use crate::telemetry::{MemoryGauges, Observer, Phase, PipelineCounters};
@@ -81,39 +82,6 @@ impl PartialOrd for GoodnessOrd {
     // rock-analyze: allow(float-ord) — the audited site: delegates to total_cmp, non-NaN is debug-asserted at construction.
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Totally ordered heap key: goodness value with a deterministic id
-/// tie-break (smaller id wins ties, so runs are reproducible). Ordering
-/// is derived lexicographically over ([`GoodnessOrd`], reversed id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GoodnessKey {
-    goodness: GoodnessOrd,
-    tie: std::cmp::Reverse<u32>,
-}
-
-impl GoodnessKey {
-    /// Creates a key; `goodness` must not be NaN (debug-asserted by
-    /// [`GoodnessOrd::new`]).
-    #[inline]
-    pub fn new(goodness: f64, tie: u32) -> Self {
-        GoodnessKey {
-            goodness: GoodnessOrd::new(goodness),
-            tie: std::cmp::Reverse(tie),
-        }
-    }
-
-    /// The goodness value.
-    #[inline]
-    pub fn goodness(self) -> f64 {
-        self.goodness.get()
-    }
-
-    /// The tie-breaking id.
-    #[inline]
-    pub fn tie(self) -> u32 {
-        self.tie.0
     }
 }
 
@@ -222,10 +190,9 @@ pub fn agglomerate(
     agglomerate_observed(n, links, goodness, config, &Observer::new())
 }
 
-/// [`agglomerate`] with telemetry: merges, heap push/pop totals (summed
-/// over the global and every local heap) and pruned outliers flow into
-/// `observer`'s counters, and the combined heap footprint into its memory
-/// gauge.
+/// [`agglomerate`] with telemetry: merges, pair-heap push/pop totals and
+/// pruned outliers flow into `observer`'s counters, and the peak footprint
+/// of the pair heap plus the link rows into its memory gauge.
 ///
 /// # Errors
 /// Same as [`agglomerate`].
@@ -268,14 +235,7 @@ pub fn agglomerate_guarded(
     }
     debug_assert_eq!(links.len(), n, "link table size mismatch");
 
-    let mut engine = Engine::new(n, links, goodness, config.record_history);
-    // Contract: the freshly built heaps are structurally sound.
-    contracts::check_heap(&engine.global);
-    // Heaps are at their fullest right after construction.
-    MemoryGauges::observe(
-        &observer.memory().heaps,
-        cast::usize_to_u64(engine.heap_bytes()),
-    );
+    let mut engine = Engine::new(n, links, goodness, observer, config.record_history);
     let checkpoint = config.prune.map(|p| {
         let c = cast::f64_to_usize((p.checkpoint_fraction * cast::usize_to_f64(n)).ceil());
         (c.clamp(config.k, n), p.max_prune_size)
@@ -317,7 +277,6 @@ pub fn agglomerate_guarded(
         if let Some((at, max_size)) = checkpoint {
             if !pruned_at_checkpoint && active <= at {
                 engine.prune_small(max_size);
-                contracts::check_heap(&engine.global);
                 pruned_at_checkpoint = true;
                 active = engine.active_count();
                 if active <= config.k {
@@ -373,26 +332,64 @@ pub fn agglomerate_guarded(
         tracer.record_hist("agglomerate.batch_ns", None, &batch_hist);
     }
 
-    engine.flush_telemetry(observer);
+    engine.flush_telemetry();
     let agg = engine.finish(active == config.k);
     // Contract: clusters, assignment, outliers and criterion agree.
     contracts::check_agglomeration(&agg);
     Ok((agg, trip))
 }
 
+/// A candidate merge in the pair heap: goodness, then kept slot, then
+/// absorbed slot (smaller ids win ties), stamped with the kept and
+/// absorbed slots' generations at push time.
+type Candidate = (GoodnessOrd, Reverse<u32>, Reverse<u32>, u32, u32);
+
+/// Bytes of one link-row entry.
+const ROW_ENTRY_BYTES: usize = std::mem::size_of::<(u32, u64)>();
+
+/// Whether neither slot of `entry` has changed since it was pushed.
+#[inline]
+fn is_live(generation: &[u32], &(_, Reverse(a), Reverse(b), ga, gb): &Candidate) -> bool {
+    generation[cast::u32_to_usize(a)] == ga && generation[cast::u32_to_usize(b)] == gb
+}
+
 /// Internal merge-engine state.
+///
+/// One max-heap holds a candidate merge per linked cluster pair. Merging
+/// bumps the generation of both slots, so every candidate that names
+/// either becomes stale; stale candidates are skipped when they reach the
+/// top and dropped whenever the heap has doubled since its last
+/// compaction. Link rows are rebuilt only when their own cluster merges:
+/// a partner id in a row may name a cluster that has since been
+/// absorbed, and is resolved to its current slot through a union-find.
 struct Engine<'a> {
     goodness: &'a Goodness,
+    observer: &'a Observer,
     /// Member lists per slot; empty = inactive slot.
     members: Vec<Vec<u32>>,
-    /// Cross-link rows per slot: partner slot → link count. Symmetric.
-    rows: Vec<HashMap<u32, u64>>,
+    /// Union-find over slots: an absorbed slot points at the slot it was
+    /// folded into; a live or pruned slot points at itself.
+    parent: Vec<u32>,
+    /// Link rows per slot, sorted by partner id. Counts whose partners
+    /// resolve to the same cluster sum to that pair's cross-link count.
+    rows: Vec<Vec<(u32, u64)>>,
     /// Internal (within-cluster) ordered link counts per slot.
     internal: Vec<u64>,
-    /// Local heaps.
-    local: Vec<IndexedHeap<GoodnessKey>>,
-    /// Global heap over slots with non-empty local heaps.
-    global: IndexedHeap<GoodnessKey>,
+    /// Per-slot generation, bumped whenever the slot's cluster changes.
+    generation: Vec<u32>,
+    heap: BinaryHeap<Candidate>,
+    /// Heap length right after the last compaction.
+    compacted_len: usize,
+    /// Dense per-slot accumulator (all zero between merges) and the slots
+    /// it touched, for rebuilding a merged cluster's row.
+    acc: Vec<u64>,
+    touched: Vec<u32>,
+    /// Bytes held by `rows` (entry capacity).
+    row_bytes: usize,
+    /// High-water mark of heap plus row bytes.
+    peak_bytes: usize,
+    pushes: u64,
+    pops: u64,
     history: Vec<MergeStep>,
     record_history: bool,
     merges: usize,
@@ -401,42 +398,62 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    #[allow(clippy::needless_range_loop)] // local heaps & rows are parallel arrays
-    fn new(n: usize, links: &LinkTable, goodness: &'a Goodness, record_history: bool) -> Self {
-        let members: Vec<Vec<u32>> = (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect();
-        // Build symmetric rows from the upper-triangle link table.
-        let mut rows: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
+    fn new(
+        n: usize,
+        links: &LinkTable,
+        goodness: &'a Goodness,
+        observer: &'a Observer,
+        record_history: bool,
+    ) -> Self {
+        // Symmetric rows from the upper-triangle table: row i receives its
+        // lower partners (from earlier rows) before its own upper ones, so
+        // every row comes out sorted.
+        let mut degree = vec![0usize; n];
+        for (i, j, _) in links.iter() {
+            degree[cast::u32_to_usize(i)] += 1;
+            degree[cast::u32_to_usize(j)] += 1;
+        }
+        let mut rows: Vec<Vec<(u32, u64)>> =
+            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
         for (i, j, c) in links.iter() {
-            rows[cast::u32_to_usize(i)].insert(j, u64::from(c));
-            rows[cast::u32_to_usize(j)].insert(i, u64::from(c));
+            rows[cast::u32_to_usize(i)].push((j, u64::from(c)));
+            rows[cast::u32_to_usize(j)].push((i, u64::from(c)));
         }
-        let mut local: Vec<IndexedHeap<GoodnessKey>> = Vec::with_capacity(n);
-        let mut global = IndexedHeap::with_capacity(n);
-        for i in 0..n {
-            let iu = cast::usize_to_u32(i);
-            let mut h = IndexedHeap::with_capacity(rows[i].len());
-            // rock-analyze: allow(nondet-iter) — order-insensitive: heap pop order is a pure function of the strict GoodnessKey total order, not insertion order.
-            for (&j, &c) in &rows[i] {
-                h.insert_or_update(j, GoodnessKey::new(goodness.merge_goodness(c, 1, 1), j));
-            }
-            if let Some((best, _)) = h.peek() {
-                global.insert_or_update(iu, GoodnessKey::new(best.goodness(), iu));
-            }
-            local.push(h);
-        }
-        Engine {
+        let entries = links.num_entries();
+        let mut engine = Engine {
             goodness,
-            members,
+            observer,
+            members: (0..cast::usize_to_u32(n)).map(|i| vec![i]).collect(),
+            parent: (0..cast::usize_to_u32(n)).collect(),
             rows,
             internal: vec![0; n],
-            local,
-            global,
+            generation: vec![0; n],
+            heap: BinaryHeap::new(),
+            compacted_len: entries,
+            acc: vec![0; n],
+            touched: Vec::new(),
+            row_bytes: 2 * entries * ROW_ENTRY_BYTES,
+            peak_bytes: 0,
+            pushes: cast::usize_to_u64(entries),
+            pops: 0,
             history: Vec::new(),
             record_history,
             merges: 0,
             outliers: Vec::new(),
             active: n,
-        }
+        };
+        // Compaction keeps the heap within twice the live candidates, and
+        // there are never more live candidates than initial link entries,
+        // so this capacity is never outgrown.
+        let mut candidates = Vec::with_capacity(2 * entries);
+        candidates.extend(
+            links
+                .iter()
+                .map(|(i, j, c)| engine.candidate(i, j, u64::from(c))),
+        );
+        engine.heap = BinaryHeap::from(candidates);
+        engine.note_footprint();
+        engine
     }
 
     fn active_count(&self) -> usize {
@@ -448,99 +465,144 @@ impl<'a> Engine<'a> {
         self.members[cast::u32_to_usize(slot)].len()
     }
 
-    /// Goodness of the best available merge, if any.
-    fn best_goodness(&self) -> Option<f64> {
-        self.global.peek().map(|(k, _)| k.goodness())
+    /// The slot currently holding `slot`'s points (path-halving find).
+    #[inline]
+    fn find(&mut self, mut slot: u32) -> u32 {
+        // rock-analyze: allow(guard-loop) — bounded: every iteration climbs the union-find tree toward its root.
+        loop {
+            let up = self.parent[cast::u32_to_usize(slot)];
+            if up == slot {
+                return slot;
+            }
+            let grand = self.parent[cast::u32_to_usize(up)];
+            self.parent[cast::u32_to_usize(slot)] = grand;
+            slot = grand;
+        }
     }
 
-    /// Recomputes slot `i`'s entry in the global heap from its local heap.
-    fn refresh_global(&mut self, i: u32) {
-        match self.local[cast::u32_to_usize(i)].peek() {
-            Some((best, _)) => self
-                .global
-                .insert_or_update(i, GoodnessKey::new(best.goodness(), i)),
-            None => {
-                self.global.remove(i);
+    /// The candidate for merging live clusters `a` and `b` with `links`
+    /// cross links: the greater of its two orientations. Both carry the
+    /// same generations, so the lesser could never reach the top.
+    fn candidate(&self, a: u32, b: u32, links: u64) -> Candidate {
+        let (na, nb) = (self.size(a), self.size(b));
+        let (ga, gb) = (
+            self.generation[cast::u32_to_usize(a)],
+            self.generation[cast::u32_to_usize(b)],
+        );
+        let ab = GoodnessOrd::new(self.goodness.merge_goodness(links, na, nb));
+        let ba = GoodnessOrd::new(self.goodness.merge_goodness(links, nb, na));
+        (ab, Reverse(a), Reverse(b), ga, gb).max((ba, Reverse(b), Reverse(a), gb, ga))
+    }
+
+    /// Pops stale candidates until the top is live (or the heap is empty).
+    fn skip_stale(&mut self) {
+        // rock-analyze: allow(guard-loop) — bounded: every iteration pops one heap entry.
+        while let Some(top) = self.heap.peek() {
+            if is_live(&self.generation, top) {
+                return;
             }
+            self.heap.pop();
+            self.pops += 1;
         }
+    }
+
+    fn push(&mut self, entry: Candidate) {
+        if self.heap.len() >= 2 * self.compacted_len {
+            self.compact();
+        }
+        self.heap.push(entry);
+        self.pushes += 1;
+    }
+
+    /// Drops every stale candidate and reports the footprint so far.
+    fn compact(&mut self) {
+        let before = self.heap.len();
+        let generation = &self.generation;
+        self.heap.retain(|entry| is_live(generation, entry));
+        self.compacted_len = self.heap.len();
+        self.pops += cast::usize_to_u64(before - self.compacted_len);
+        self.note_footprint();
+        MemoryGauges::observe(
+            &self.observer.memory().heaps,
+            cast::usize_to_u64(self.peak_bytes),
+        );
+    }
+
+    /// Bytes held by the heap and the rows right now.
+    fn footprint(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<Candidate>() + self.row_bytes
+    }
+
+    fn note_footprint(&mut self) {
+        self.peak_bytes = self.peak_bytes.max(self.footprint());
+    }
+
+    /// Goodness of the best available merge, if any.
+    fn best_goodness(&mut self) -> Option<f64> {
+        self.skip_stale();
+        self.heap.peek().map(|&(g, ..)| g.get())
     }
 
     /// Merges the globally best pair, returning its goodness. `None` when
     /// no pair exists.
     fn merge_best(&mut self) -> Option<f64> {
-        let (_, u) = self.global.peek()?;
-        let Some((key, v)) = self.local[cast::u32_to_usize(u)]
-            .peek()
-            .map(|(k, v)| (*k, v))
-        else {
-            // Defensive: a slot in the global heap always has a local best.
-            self.global.remove(u);
-            if self.global.is_empty() {
-                return None;
-            }
-            return self.merge_best();
-        };
-        self.merge(u, v, key.goodness());
-        Some(key.goodness())
+        self.skip_stale();
+        let (g, Reverse(u), Reverse(v), _, _) = self.heap.pop()?;
+        self.pops += 1;
+        self.merge(u, v, g.get());
+        Some(g.get())
     }
 
     /// Merges cluster `v` into cluster `u`.
     fn merge(&mut self, u: u32, v: u32, goodness_value: f64) {
         debug_assert_ne!(u, v);
         let (nu, nv) = (self.size(u), self.size(v));
-        let cross = self.rows[cast::u32_to_usize(u)]
-            .get(&v)
-            .copied()
-            .unwrap_or(0);
 
-        // Fold members and internal links.
-        let v_members = std::mem::take(&mut self.members[cast::u32_to_usize(v)]);
-        self.members[cast::u32_to_usize(u)].extend(v_members);
-        self.internal[cast::u32_to_usize(u)] += self.internal[cast::u32_to_usize(v)] + 2 * cross;
-        self.internal[cast::u32_to_usize(v)] = 0;
-
-        // Fold v's row into u's; drop the u↔v entry.
+        // Resolve both rows' partners to their current clusters and sum
+        // the counts per cluster; pruned clusters (no members) drop out.
+        let u_row = std::mem::take(&mut self.rows[cast::u32_to_usize(u)]);
         let v_row = std::mem::take(&mut self.rows[cast::u32_to_usize(v)]);
-        self.rows[cast::u32_to_usize(u)].remove(&v);
-        for (x, c) in v_row {
-            if x == u {
+        self.row_bytes -= (u_row.capacity() + v_row.capacity()) * ROW_ENTRY_BYTES;
+        for &(y, c) in u_row.iter().chain(&v_row) {
+            let r = self.find(y);
+            if self.members[cast::u32_to_usize(r)].is_empty() {
                 continue;
             }
-            *self.rows[cast::u32_to_usize(u)].entry(x).or_insert(0) += c;
+            let slot = &mut self.acc[cast::u32_to_usize(r)];
+            if *slot == 0 {
+                self.touched.push(r);
+            }
+            *slot += c;
         }
+        // u's row counts the u↔v links under v, and v's row under u.
+        let cross_both_ways = self.acc[cast::u32_to_usize(u)] + self.acc[cast::u32_to_usize(v)];
+        self.touched.sort_unstable();
+        let mut row = Vec::with_capacity(self.touched.len());
+        for &r in &self.touched {
+            let c = std::mem::take(&mut self.acc[cast::u32_to_usize(r)]);
+            if r != u && r != v {
+                row.push((r, c));
+            }
+        }
+        self.touched.clear();
 
-        // Repair every affected neighbor x: its row and local heap lose u
-        // and v, gaining the merged cluster (slot u) with updated goodness.
-        let nw = nu + nv;
-        let partners: Vec<(u32, u64, usize)> = self.rows[cast::u32_to_usize(u)]
-            // rock-analyze: allow(nondet-iter) — order-insensitive: each partner row/heap repair is independent and heap order follows the strict GoodnessKey total order.
-            .iter()
-            .map(|(&x, &c)| (x, c, self.members[cast::u32_to_usize(x)].len()))
-            .collect();
-        for &(x, c, nx) in &partners {
-            let g = self.goodness.merge_goodness(c, nx, nw);
-            let xr = &mut self.rows[cast::u32_to_usize(x)];
-            xr.remove(&u);
-            xr.remove(&v);
-            xr.insert(u, c);
-            let xl = &mut self.local[cast::u32_to_usize(x)];
-            xl.remove(u);
-            xl.remove(v);
-            xl.insert_or_update(u, GoodnessKey::new(g, u));
-            self.refresh_global(x);
-        }
+        // Fold v into u; every candidate naming either slot goes stale.
+        self.parent[cast::u32_to_usize(v)] = u;
+        let v_members = std::mem::take(&mut self.members[cast::u32_to_usize(v)]);
+        self.members[cast::u32_to_usize(u)].extend(v_members);
+        self.internal[cast::u32_to_usize(u)] +=
+            self.internal[cast::u32_to_usize(v)] + cross_both_ways;
+        self.internal[cast::u32_to_usize(v)] = 0;
+        self.generation[cast::u32_to_usize(u)] += 1;
+        self.generation[cast::u32_to_usize(v)] += 1;
 
-        // Rebuild u's local heap, retire v's.
-        self.local[cast::u32_to_usize(v)].clear();
-        self.global.remove(v);
-        let good = self.goodness;
-        let ul = &mut self.local[cast::u32_to_usize(u)];
-        ul.clear();
-        for &(x, c, nx) in &partners {
-            let g = good.merge_goodness(c, nw, nx);
-            ul.insert_or_update(x, GoodnessKey::new(g, x));
+        for &(x, c) in &row {
+            let entry = self.candidate(u, x, c);
+            self.push(entry);
         }
-        self.refresh_global(u);
+        self.row_bytes += row.capacity() * ROW_ENTRY_BYTES;
+        self.rows[cast::u32_to_usize(u)] = row;
+        self.note_footprint();
         self.active -= 1;
         self.merges += 1;
 
@@ -569,50 +631,30 @@ impl<'a> Engine<'a> {
             return;
         }
         for s in victims {
-            let mem = std::mem::take(&mut self.members[cast::u32_to_usize(s)]);
+            let si = cast::u32_to_usize(s);
+            let mem = std::mem::take(&mut self.members[si]);
             self.outliers.extend(mem);
-            self.internal[cast::u32_to_usize(s)] = 0;
-            let row = std::mem::take(&mut self.rows[cast::u32_to_usize(s)]);
-            for (x, _) in row {
-                self.rows[cast::u32_to_usize(x)].remove(&s);
-                self.local[cast::u32_to_usize(x)].remove(s);
-                self.refresh_global(x);
-            }
-            self.local[cast::u32_to_usize(s)].clear();
-            self.global.remove(s);
+            self.internal[si] = 0;
+            self.row_bytes -= std::mem::take(&mut self.rows[si]).capacity() * ROW_ENTRY_BYTES;
+            self.generation[si] += 1;
             self.active -= 1;
         }
     }
 
-    /// Combined estimated bytes of the global heap and every local heap.
-    fn heap_bytes(&self) -> usize {
-        self.global.estimated_bytes()
-            + self
-                .local
-                .iter()
-                .map(IndexedHeap::estimated_bytes)
-                .sum::<usize>()
-    }
-
     /// Flushes the run's tallies into `observer`: merges, pruned points,
-    /// and push/pop totals summed over all heaps.
-    fn flush_telemetry(&self, observer: &Observer) {
-        let counters = observer.counters();
-        let (mut pushes, mut pops) = self.global.telemetry_counts();
-        let mut anomalies = self.global.anomaly_count();
-        for h in &self.local {
-            let (pu, po) = h.telemetry_counts();
-            pushes += pu;
-            pops += po;
-            anomalies += h.anomaly_count();
-        }
-        PipelineCounters::add(&counters.heap_pushes, pushes);
-        PipelineCounters::add(&counters.heap_pops, pops);
-        PipelineCounters::add(&counters.heap_anomalies, anomalies);
+    /// pair-heap pushes and pops, and the peak heap-plus-rows footprint.
+    fn flush_telemetry(&self) {
+        let counters = self.observer.counters();
+        PipelineCounters::add(&counters.heap_pushes, self.pushes);
+        PipelineCounters::add(&counters.heap_pops, self.pops);
         PipelineCounters::add(&counters.merges, cast::usize_to_u64(self.merges));
         PipelineCounters::add(
             &counters.outliers_pruned,
             cast::usize_to_u64(self.outliers.len()),
+        );
+        MemoryGauges::observe(
+            &self.observer.memory().heaps,
+            cast::usize_to_u64(self.peak_bytes),
         );
     }
 
@@ -684,19 +726,6 @@ mod tests {
                 Transaction::new(items)
             })
             .collect()
-    }
-
-    #[test]
-    fn goodness_key_ordering() {
-        let a = GoodnessKey::new(1.0, 5);
-        let b = GoodnessKey::new(2.0, 9);
-        assert!(b > a);
-        // Equal goodness: smaller tie id wins.
-        let c = GoodnessKey::new(1.0, 2);
-        assert!(c > a);
-        assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
-        assert_eq!(a.goodness(), 1.0);
-        assert_eq!(a.tie(), 5);
     }
 
     #[test]
@@ -992,6 +1021,24 @@ mod tests {
         assert_eq!(trip.map(|t| t.reason), Some(TripReason::Cancelled));
         assert_eq!(agg.merges, 0);
         assert_eq!(agg.clusters.len(), ts.len());
+    }
+
+    #[test]
+    fn heaps_gauge_covers_the_engine_footprint() {
+        let (ts, links, good) = guarded_fixture();
+        let obs = Observer::new();
+        let out = agglomerate_observed(ts.len(), &links, &good, &AgglomerateConfig::new(2), &obs)
+            .unwrap();
+        let gauge = obs.memory().snapshot().heaps;
+        // Replay the same merges on a bare engine and measure it.
+        let scratch = Observer::new();
+        let mut engine = Engine::new(ts.len(), &links, &good, &scratch, false);
+        let initial = engine.footprint();
+        while engine.active_count() > 2 && engine.merge_best().is_some() {}
+        assert_eq!(engine.merges, out.merges);
+        assert!(engine.pushes > cast::usize_to_u64(links.num_entries()));
+        assert!(gauge >= cast::usize_to_u64(engine.footprint()));
+        assert!(gauge >= cast::usize_to_u64(initial));
     }
 
     #[test]

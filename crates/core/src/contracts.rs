@@ -26,7 +26,6 @@
 
 use crate::agglomerate::Agglomeration;
 use crate::data::ClusterId;
-use crate::heap::IndexedHeap;
 use crate::links::LinkTable;
 use crate::neighbors::NeighborGraph;
 
@@ -187,16 +186,6 @@ pub fn check_partition(assignments: &[Option<ClusterId>], outliers: &[u32]) {
     }
 }
 
-/// Checks the structural invariants of an [`IndexedHeap`] (heap order and
-/// position-map consistency). Used by the merge engine at its checkpoints.
-#[inline]
-pub fn check_heap<P: Ord>(heap: &IndexedHeap<P>) {
-    #[cfg(debug_assertions)]
-    heap.assert_invariants();
-    #[cfg(not(debug_assertions))]
-    let _ = heap;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,9 +212,6 @@ mod tests {
         check_sample(&[0, 2, 5], 6);
         check_outlier_split(&[0, 2], &[1], 3);
         check_partition(&[Some(ClusterId(0)), None, Some(ClusterId(0))], &[1]);
-        let mut heap = IndexedHeap::with_capacity(4);
-        heap.insert_or_update(3, 17i64);
-        check_heap(&heap);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! ```
 //!
 //! Lower-level building blocks (neighbor graphs, link tables, the merge
-//! engine, the heaps) are public so baselines, ablations and the
+//! engine) are public so baselines, ablations and the
 //! experiment harness can compose them directly.
 
 #![deny(missing_docs)]
@@ -64,7 +64,6 @@ pub mod export;
 pub mod goodness;
 pub mod guard;
 pub mod hash;
-pub mod heap;
 pub mod labeling;
 pub mod links;
 pub mod metrics;

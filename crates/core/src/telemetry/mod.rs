@@ -251,9 +251,9 @@ impl EventSink for StderrSink {
 /// | `neighbor_pairs_verified` | one join candidate whose intersection was computed and checked against θ (each is also one `similarity_comparisons` unit) |
 /// | `link_kernel_steps` | one visit of the link kernel's inner loop (`Σ_i Σ_{l∈N(i)} deg(l)` — the paper's `Σ deg²` cost) |
 /// | `link_entries` | one nonzero upper-triangle entry in the link table |
-/// | `heap_pushes` | one `insert_or_update` on a merge-engine heap |
-/// | `heap_pops` | one removal from a merge-engine heap (`remove`, or one entry dropped by `clear`) |
-/// | `heap_anomalies` | one internal-consistency anomaly inside a merge-engine heap (a `remove` whose position map and entry array disagreed) — always 0 on a healthy run |
+/// | `heap_pushes` | one candidate pushed on the merge engine's pair heap (one per linked pair at start, plus one per partner of each merged cluster) |
+/// | `heap_pops` | one candidate removed from the pair heap (merged, skipped as stale at the top, or dropped by a compaction) |
+/// | `heap_anomalies` | retired — always 0; kept so `rock-metrics/v1` readers still parse |
 /// | `merges` | one cluster merge |
 /// | `points_sampled` | one point drawn into the clustering sample |
 /// | `outliers_filtered` | one point dropped by the up-front neighbor filter |
@@ -280,11 +280,11 @@ pub struct PipelineCounters {
     pub link_kernel_steps: AtomicU64,
     /// Nonzero link-table entries.
     pub link_entries: AtomicU64,
-    /// Heap insert/update operations in the merge engine.
+    /// Candidates pushed on the merge engine's pair heap.
     pub heap_pushes: AtomicU64,
-    /// Heap removal operations in the merge engine.
+    /// Candidates removed from the merge engine's pair heap.
     pub heap_pops: AtomicU64,
-    /// Internal-consistency anomalies recorded by merge-engine heaps.
+    /// Retired: always 0, kept for `rock-metrics/v1` compatibility.
     pub heap_anomalies: AtomicU64,
     /// Merges performed.
     pub merges: AtomicU64,
@@ -378,7 +378,7 @@ pub struct MemoryGauges {
     pub neighbor_graph: AtomicU64,
     /// Link-table sparse rows.
     pub link_table: AtomicU64,
-    /// Merge-engine heaps (global + all local heaps).
+    /// Merge engine: peak pair-heap plus link-row capacity.
     pub heaps: AtomicU64,
     /// Recorded merge history / dendrogram steps.
     pub dendrogram: AtomicU64,

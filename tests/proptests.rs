@@ -8,7 +8,6 @@
 use rock::core::agglomerate::{agglomerate, AgglomerateConfig};
 use rock::core::components::connected_components;
 use rock::core::export::{read_assignments, write_assignments};
-use rock::core::heap::IndexedHeap;
 use rock::core::metrics::{hungarian_max, ContingencyTable};
 use rock::core::rng::Rng;
 use rock::core::summary::ClusterSummary;
@@ -138,37 +137,6 @@ fn parallel_links_are_byte_identical_to_sequential() {
         for threads in [2usize, 4, 8] {
             let parallel = LinkTable::compute_observed(&g, threads, &Observer::new());
             assert_eq!(parallel, sequential, "seed {seed}, threads {threads}");
-        }
-    }
-}
-
-// ── Heap vs reference model ────────────────────────────────────────────
-
-#[test]
-fn heap_matches_btreemap_model() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut heap: IndexedHeap<u64> = IndexedHeap::new();
-        let mut model = std::collections::BTreeMap::new();
-        let ops = rng.gen_range(1..=300usize);
-        for _ in 0..ops {
-            let id = rng.gen_range(0..32u64) as u32;
-            let p = rng.gen_range(0..100u64);
-            match rng.gen_range(0..3u64) {
-                0 => {
-                    heap.insert_or_update(id, p);
-                    model.insert(id, p);
-                }
-                1 => {
-                    assert_eq!(heap.remove(id), model.remove(&id), "seed {seed}");
-                }
-                _ => {
-                    let got = heap.peek().map(|(p, _)| *p);
-                    let expect = model.values().max().copied();
-                    assert_eq!(got, expect, "seed {seed}");
-                }
-            }
-            assert_eq!(heap.len(), model.len(), "seed {seed}");
         }
     }
 }

@@ -66,10 +66,14 @@ fn stage_counters_match_hand_computed_values() {
     assert_eq!(c.link_entries, 6);
     // 6 points → 2 clusters is exactly 4 merge steps.
     assert_eq!(c.merges, 4);
-    // The heap machinery must have been exercised; exact push/pop counts
-    // are an implementation detail of the local-heap maintenance.
-    assert!(c.heap_pushes >= 4);
-    assert!(c.heap_pops >= 4);
+    // Pair-heap pushes: one per linked pair at start (6), plus one per
+    // partner of each merged cluster — each triangle's first merge leaves
+    // one partner, its second none (2).
+    assert_eq!(c.heap_pushes, 8);
+    // Pops: the 4 merges, plus group A's two stale pairs skipped on the
+    // way to group B's first merge. B's two stale pairs are still in the
+    // heap when the run stops.
+    assert_eq!(c.heap_pops, 6);
     // No sampling, outlier or labeling stages were run here.
     assert_eq!(c.points_sampled, 0);
     assert_eq!(c.outliers_filtered, 0);
