@@ -87,9 +87,10 @@ gate_tier1() {
     fi
     cargo test --offline --workspace --exclude rock-serve -q --lib --bins
     cargo test --offline --workspace --exclude rock-serve -q --doc
-    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, agglomerate_reference, analyzer fixtures)"
+    echo "== integration suites (pipeline, proptests, extensions, telemetry, snapshot, neighbors_join, agglomerate_reference, labeling_reference, analyzer fixtures)"
     cargo test --offline -q --test pipeline --test proptests --test extensions \
-        --test telemetry --test snapshot --test neighbors_join --test agglomerate_reference
+        --test telemetry --test snapshot --test neighbors_join --test agglomerate_reference \
+        --test labeling_reference
     cargo test --offline -q -p rock-analyze --test fixtures
 }
 
@@ -195,6 +196,9 @@ gate_bench() {
     cargo build --offline --release -q -p rock-bench
     mkdir -p target/bench
     rm -f target/bench/BENCH_*.json
+    echo "-- exp_votes (E1, 3 epochs) and exp_mushroom (E2 headline run)"
+    ./target/release/exp_votes --metrics target/bench/BENCH_votes.json >/dev/null
+    ./target/release/exp_mushroom --metrics target/bench/BENCH_mushroom.json >/dev/null
     echo "-- exp_scalability (full grid, min of 3 epochs)"
     ./target/release/exp_scalability --metrics target/bench/BENCH_scalability.json >/dev/null
     echo "-- exp_neighbors (indexed join vs brute force, 1/2/4/8 workers)"
@@ -206,6 +210,14 @@ gate_bench() {
     echo "-- exp_serve (loopback load + batching + reload soak)"
     cargo build --offline --release -q -p rock-serve
     ./target/release/exp_serve --metrics target/bench/BENCH_serve.json >/dev/null
+    echo "-- bench_check BENCH_votes.json"
+    ./target/release/bench_check \
+        --baseline results/BENCH_votes.json \
+        --fresh target/bench/BENCH_votes.json
+    echo "-- bench_check BENCH_mushroom.json"
+    ./target/release/bench_check \
+        --baseline results/BENCH_mushroom.json \
+        --fresh target/bench/BENCH_mushroom.json
     echo "-- bench_check BENCH_scalability.json"
     # --floor 0.35: the grid's sub-second cells swing well past 25% from
     # scheduler noise on a shared core (different cells each run); the

@@ -1,5 +1,5 @@
 //! Micro-benchmarks for ROCK's phase kernels: similarity, neighbor
-//! graph, link table, merge loop and goodness evaluation. Plain
+//! graph, link table, merge loop, goodness evaluation and labeling. Plain
 //! `std::time` timing via [`rock_bench::harness`] — run with
 //! `cargo bench --bench microbench`.
 
@@ -8,6 +8,7 @@ use std::hint::black_box;
 use rock_bench::harness::{bench, group};
 use rock_core::agglomerate::{agglomerate, AgglomerateConfig};
 use rock_core::goodness::{Goodness, MarketBasket};
+use rock_core::labeling::label_many_observed;
 use rock_core::links::LinkTable;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::prelude::*;
@@ -88,10 +89,70 @@ fn bench_goodness() {
     });
 }
 
+fn bench_labeling() {
+    group("labeling");
+    // A fixed representative set (a quarter of each planted block, the
+    // default labeling config) and 2000 points to label against it.
+    let (data, blocks) = BlockModel::symmetric(4, 500, 30, 0.4, 0.02)
+        .seed(1)
+        .generate();
+    let mut clusters = vec![Vec::new(); 4];
+    for (i, &b) in blocks.iter().enumerate() {
+        clusters[b].push(u32::try_from(i).expect("small dataset"));
+    }
+    let reps = Representatives::draw(
+        &data,
+        &clusters,
+        &LabelingConfig::default(),
+        &mut seeded_rng(1),
+    )
+    .unwrap();
+    let points: Vec<&Transaction> = data.iter().collect();
+    let observer = Observer::new();
+    for threads in [1usize, 4] {
+        // Jaccard has a count form: the packed index path.
+        bench(
+            &format!("jaccard/{}x{threads}t", points.len()),
+            10,
+            1,
+            || {
+                label_many_observed(
+                    &points,
+                    &reps,
+                    &Jaccard,
+                    &MarketBasket,
+                    0.25,
+                    threads,
+                    &observer,
+                )
+            },
+        );
+        // HammingRecord has none: the scalar sorted-merge path.
+        let hamming = HammingRecord::new(30);
+        bench(
+            &format!("hamming/{}x{threads}t", points.len()),
+            10,
+            1,
+            || {
+                label_many_observed(
+                    &points,
+                    &reps,
+                    &hamming,
+                    &MarketBasket,
+                    0.25,
+                    threads,
+                    &observer,
+                )
+            },
+        );
+    }
+}
+
 fn main() {
     bench_similarity();
     bench_neighbors();
     bench_links();
     bench_agglomerate();
     bench_goodness();
+    bench_labeling();
 }

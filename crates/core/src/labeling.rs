@@ -14,12 +14,15 @@
 //! automatically attract every point. Points with no neighbors in any
 //! `L_i` are labeled outliers.
 
+use crate::bits;
 use crate::cast;
 use crate::data::{Transaction, TransactionSet};
 use crate::error::{Result, RockError};
-use crate::goodness::LinkExponent;
+use crate::goodness::{ConstantExponent, LinkExponent};
 use crate::rng::{Rng, SliceRandom};
+use crate::shard::effective_threads;
 use crate::similarity::Similarity;
+use crate::snapshot::SimilarityKind;
 use crate::telemetry::trace::Payload;
 use crate::telemetry::{Observer, Phase, PipelineCounters};
 
@@ -131,6 +134,9 @@ impl Representatives {
 
 /// Assigns one point: returns `Some(cluster)` with the best labeling score,
 /// or `None` when the point has no neighbor in any representative set.
+///
+/// The scalar rule (one `sim()` per representative): the oracle for the
+/// packed index, and the kernel's path when there is no index.
 pub fn label_point<S: Similarity, F: LinkExponent>(
     point: &Transaction,
     reps: &Representatives,
@@ -138,14 +144,23 @@ pub fn label_point<S: Similarity, F: LinkExponent>(
     f: &F,
     theta: f64,
 ) -> Option<usize> {
-    let exponent = f.f(theta);
-    let mut best: Option<(f64, usize)> = None;
-    for (i, set) in reps.sets.iter().enumerate() {
+    let counts = reps.sets.iter().map(|set| {
         let n_i = set.iter().filter(|r| sim.sim(point, r) >= theta).count();
+        (n_i, set.len())
+    });
+    best_cluster(counts, f.f(theta))
+}
+
+/// The §4.2 choice from each cluster's `(N_i, |L_i|)`: the highest
+/// `N_i / (|L_i| + 1)^exponent`, or `None` when no cluster holds a
+/// neighbor.
+fn best_cluster(counts: impl Iterator<Item = (usize, usize)>, exponent: f64) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, (n_i, size)) in counts.enumerate() {
         if n_i == 0 {
             continue;
         }
-        let score = cast::usize_to_f64(n_i) / cast::usize_to_f64(set.len() + 1).powf(exponent);
+        let score = cast::usize_to_f64(n_i) / cast::usize_to_f64(size + 1).powf(exponent);
         // Deterministic tie-break: keep the lower cluster index.
         if best.is_none_or(|(b, _)| score > b) {
             best = Some((score, i));
@@ -154,16 +169,15 @@ pub fn label_point<S: Similarity, F: LinkExponent>(
     best.map(|(_, i)| i)
 }
 
-/// Largest universe (in items) the bit-packed labeling index covers.
-/// Beyond it the per-representative bitsets stop paying for themselves
-/// (64 words each) and labeling falls back to sorted-merge
-/// intersections.
+/// Widest bit row (in items) the packed labeling index builds. Beyond
+/// it the per-representative rows stop paying for themselves (64 words
+/// each) and labeling takes the scalar sorted-merge path.
 pub const MAX_DENSE_UNIVERSE: usize = 4096;
 
-/// Bit-packed representative index: one bitset per representative over
-/// the item universe, so the θ-neighbor test of the labeling rule
-/// becomes a handful of `AND` + popcount words instead of a branchy
-/// sorted merge per representative.
+/// Bit-packed representative index: one bit row per representative, so
+/// the θ-neighbor test of the labeling rule becomes a handful of
+/// `AND` + popcount words instead of a branchy sorted merge per
+/// representative.
 ///
 /// The index is exact, not approximate: transactions are sorted
 /// deduplicated sets, so popcounting `point ∧ rep` yields the same
@@ -172,12 +186,11 @@ pub const MAX_DENSE_UNIVERSE: usize = 4096;
 /// produces, and the similarity formulas are evaluated through the very
 /// same `from_counts` definitions the scalar path uses
 /// ([`crate::similarity::Jaccard::from_counts`] et al.) — identical
-/// floats, identical labels, only faster. Built once per
-/// [`ModelSnapshot`](crate::snapshot::ModelSnapshot); queries reuse a
-/// caller-provided scratch bitset so the hot path allocates nothing.
+/// floats, identical labels, only faster. Queries reuse a
+/// caller-provided scratch row so the hot path allocates nothing.
 #[derive(Debug, Clone)]
 pub struct DenseReps {
-    /// Words per bitset row (`ceil(universe / 64)`).
+    /// Words per bit row (`ceil((largest item + 1) / 64)`).
     words: usize,
     /// Rep-major bit matrix: representative `r` is
     /// `bits[r * words .. (r + 1) * words]`.
@@ -189,30 +202,33 @@ pub struct DenseReps {
 }
 
 impl DenseReps {
-    /// Builds the index, or `None` when the universe is empty or too
-    /// large to pack profitably (> [`MAX_DENSE_UNIVERSE`]).
-    pub fn build(reps: &Representatives, universe: usize) -> Option<DenseReps> {
-        if universe == 0 || universe > MAX_DENSE_UNIVERSE {
+    /// Builds the index with rows just wide enough for the
+    /// representatives' largest item, or `None` when no representative
+    /// holds an item or that item is `MAX_DENSE_UNIVERSE` or beyond.
+    pub fn build(reps: &Representatives) -> Option<DenseReps> {
+        let largest = reps
+            .sets
+            .iter()
+            .flatten()
+            .filter_map(|rep| rep.items().last())
+            .max()?;
+        let width = cast::u32_to_usize(*largest) + 1;
+        if width > MAX_DENSE_UNIVERSE {
             return None;
         }
-        let words = universe.div_ceil(64);
+        let words = width.div_ceil(64);
         let total = reps.total();
         let mut bits = vec![0u64; total * words];
         let mut lens = Vec::with_capacity(total);
         let mut clusters = Vec::with_capacity(reps.num_clusters());
-        let mut row = 0usize;
+        let mut rows = bits.chunks_exact_mut(words);
         for set in &reps.sets {
-            clusters.push((row, set.len()));
-            for rep in set {
-                let base = row * words;
+            clusters.push((lens.len(), set.len()));
+            for (rep, row) in set.iter().zip(&mut rows) {
                 for &item in rep.items() {
-                    let i = cast::u32_to_usize(item);
-                    if i / 64 < words {
-                        bits[base + i / 64] |= 1u64 << (i % 64);
-                    }
+                    bits::set(row, cast::u32_to_usize(item));
                 }
                 lens.push(rep.len());
-                row += 1;
             }
         }
         Some(DenseReps {
@@ -223,117 +239,122 @@ impl DenseReps {
         })
     }
 
-    /// Resizes `scratch` to this index's row width (idempotent).
-    pub fn prepare_scratch(&self, scratch: &mut Vec<u64>) {
-        scratch.resize(self.words, 0);
-    }
-
     /// [`label_point`] over the packed index: same scores, same
     /// deterministic lower-index tie-break, same `None`-for-outlier
-    /// contract. `sim` maps `(|A∩B|, |A|, |B|)` to the similarity —
-    /// pass the measure's `from_counts` so both paths share one
-    /// definition. `scratch` must come through
-    /// [`DenseReps::prepare_scratch`].
+    /// contract. `kind` evaluates the measure from the counts through
+    /// the same `from_counts` definition its `sim()` uses. `scratch` is
+    /// the caller's reusable bit row for the point.
     pub fn label_point(
         &self,
         point: &Transaction,
-        sim: impl Fn(usize, usize, usize) -> f64,
+        kind: SimilarityKind,
         theta: f64,
         exponent: f64,
-        scratch: &mut [u64],
+        scratch: &mut Vec<u64>,
     ) -> Option<usize> {
-        for w in scratch.iter_mut() {
-            *w = 0;
-        }
+        scratch.clear();
+        scratch.resize(self.words, 0);
         for &item in point.items() {
             let i = cast::u32_to_usize(item);
-            // Items outside the universe can never match a validated
-            // representative; they still count toward |A| below.
-            if i / 64 < self.words {
-                scratch[i / 64] |= 1u64 << (i % 64);
+            // Items past the row width can never match a representative;
+            // they still count toward |A| below.
+            if i < 64 * self.words {
+                bits::set(scratch, i);
             }
         }
         let a_len = point.len();
-        let mut best: Option<(f64, usize)> = None;
-        for (c, &(start, count)) in self.clusters.iter().enumerate() {
-            let mut n_i = 0usize;
-            for r in start..start + count {
-                let row = &self.bits[r * self.words..(r + 1) * self.words];
-                let mut inter = 0usize;
-                for (pw, rw) in scratch.iter().zip(row) {
-                    inter += cast::u32_to_usize((pw & rw).count_ones());
-                }
-                if sim(inter, a_len, self.lens[r]) >= theta {
-                    n_i += 1;
-                }
-            }
-            if n_i == 0 {
-                continue;
-            }
-            let score = cast::usize_to_f64(n_i) / cast::usize_to_f64(count + 1).powf(exponent);
-            if best.is_none_or(|(b, _)| score > b) {
-                best = Some((score, c));
-            }
+        let counts = self.clusters.iter().map(|&(start, count)| {
+            let n_i = (start..start + count)
+                .filter(|&r| {
+                    let row = &self.bits[r * self.words..(r + 1) * self.words];
+                    kind.sim_from_counts(bits::and_count(scratch, row), a_len, self.lens[r])
+                        >= theta
+                })
+                .count();
+            (n_i, count)
+        });
+        best_cluster(counts, exponent)
+    }
+}
+
+/// The §4.2 labeling kernel behind the fit, model snapshots and
+/// [`label_stream`]: a point takes the packed index when there is one
+/// and the measure reports a [`Similarity::count_kind`] (whose promise
+/// makes the label identical), and the scalar [`label_point`] otherwise.
+pub(crate) struct Labeler<'a, S> {
+    reps: &'a Representatives,
+    dense: Option<(&'a DenseReps, SimilarityKind)>,
+    sim: &'a S,
+    theta: f64,
+    exponent: f64,
+}
+
+impl<'a, S: Similarity> Labeler<'a, S> {
+    pub(crate) fn new(
+        reps: &'a Representatives,
+        dense: Option<&'a DenseReps>,
+        sim: &'a S,
+        theta: f64,
+        exponent: f64,
+    ) -> Self {
+        Labeler {
+            reps,
+            dense: dense.zip(sim.count_kind()),
+            sim,
+            theta,
+            exponent,
         }
-        best.map(|(_, i)| i)
     }
-}
 
-/// Labels every point of `data`, returning per-point cluster assignments
-/// (`None` = outlier).
-pub fn label_all<S: Similarity, F: LinkExponent>(
-    data: &TransactionSet,
-    reps: &Representatives,
-    sim: &S,
-    f: &F,
-    theta: f64,
-) -> Vec<Option<usize>> {
-    data.iter()
-        .map(|p| label_point(p, reps, sim, f, theta))
-        .collect()
-}
-
-/// Labels many points in parallel (chunked over `threads` workers; `0` =
-/// one per CPU, capped at 16). Deterministic: output order matches input.
-pub fn label_many_parallel<S: Similarity, F: LinkExponent>(
-    points: &[&Transaction],
-    reps: &Representatives,
-    sim: &S,
-    f: &F,
-    theta: f64,
-    threads: usize,
-) -> Vec<Option<usize>> {
-    let n = points.len();
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16);
-    let threads = if threads == 0 { hw } else { threads };
-    if threads <= 1 || n < 256 {
-        return points
-            .iter()
-            .map(|p| label_point(p, reps, sim, f, theta))
-            .collect();
+    /// Labels one point; `scratch` is the caller's reusable bit row.
+    pub(crate) fn label(&self, point: &Transaction, scratch: &mut Vec<u64>) -> Option<usize> {
+        match self.dense {
+            Some((dense, kind)) => {
+                dense.label_point(point, kind, self.theta, self.exponent, scratch)
+            }
+            None => label_point(
+                point,
+                self.reps,
+                self.sim,
+                &ConstantExponent(self.exponent),
+                self.theta,
+            ),
+        }
     }
-    let mut out: Vec<Option<usize>> = vec![None; n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (slice_in, slice_out) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (p, o) in slice_in.iter().zip(slice_out.iter_mut()) {
-                    *o = label_point(p, reps, sim, f, theta);
+
+    /// Labels `points` over contiguous slices, one worker per slice
+    /// ([`effective_threads`] resolves `threads`) with one scratch row
+    /// each. Output order matches input order and does not depend on
+    /// the thread count.
+    pub(crate) fn label_many(&self, points: &[&Transaction], threads: usize) -> Vec<Option<usize>> {
+        let mut out = vec![None; points.len()];
+        let label_slice = |slice_in: &[&Transaction], slice_out: &mut [Option<usize>]| {
+            let mut scratch = Vec::new();
+            for (p, o) in slice_in.iter().zip(slice_out) {
+                *o = self.label(p, &mut scratch);
+            }
+        };
+        let threads = effective_threads(threads, points.len());
+        if threads <= 1 {
+            label_slice(points, &mut out);
+        } else {
+            let chunk = points.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for (slice_in, slice_out) in points.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                    scope.spawn(move || label_slice(slice_in, slice_out));
                 }
             });
         }
-    });
-    out
+        out
+    }
 }
 
-/// [`label_many_parallel`] with telemetry: labeling similarity
-/// evaluations (`points × total representatives` — [`label_point`] scores
-/// every point against every representative) and the labeled/outlier
-/// split flow into `observer`'s counters.
-#[allow(clippy::too_many_arguments)] // mirrors label_many_parallel + observer
+/// Labels many points with the §4.2 kernel (chunked over `threads`
+/// workers; `0` = one per CPU, capped at 16; the packed index is built
+/// once per call), with telemetry: labeling similarity evaluations
+/// (`points × total representatives`) and the labeled/outlier split
+/// flow into `observer`'s counters. Output order matches input.
+#[allow(clippy::too_many_arguments)] // the labeling closure + threads + observer
 pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     points: &[&Transaction],
     reps: &Representatives,
@@ -344,7 +365,9 @@ pub fn label_many_observed<S: Similarity, F: LinkExponent>(
     observer: &Observer,
 ) -> Vec<Option<usize>> {
     let span = observer.tracer().begin();
-    let out = label_many_parallel(points, reps, sim, f, theta, threads);
+    let dense = sim.count_kind().and_then(|_| DenseReps::build(reps));
+    let out =
+        Labeler::new(reps, dense.as_ref(), sim, theta, f.f(theta)).label_many(points, threads);
     let counters = observer.counters();
     PipelineCounters::add(
         &counters.labeling_evaluations,
@@ -385,8 +408,12 @@ where
     I: IntoIterator<Item = Transaction>,
     I::IntoIter: 'a,
 {
+    let dense = sim.count_kind().and_then(|_| DenseReps::build(reps));
+    let exponent = f.f(theta);
+    let mut scratch = Vec::new();
     stream.into_iter().map(move |t| {
-        let label = label_point(&t, reps, sim, f, theta);
+        let label =
+            Labeler::new(reps, dense.as_ref(), sim, theta, exponent).label(&t, &mut scratch);
         (t, label)
     })
 }
@@ -400,6 +427,15 @@ mod tests {
 
     fn ts(v: Vec<Transaction>) -> TransactionSet {
         v.into_iter().collect()
+    }
+
+    fn label_many(
+        points: &[&Transaction],
+        reps: &Representatives,
+        threads: usize,
+    ) -> Vec<Option<usize>> {
+        let f = &MarketBasket;
+        label_many_observed(points, reps, &Jaccard, f, 0.5, threads, &Observer::new())
     }
 
     fn two_cluster_fixture() -> (TransactionSet, Vec<Vec<u32>>) {
@@ -477,8 +513,8 @@ mod tests {
             Transaction::new([10, 11, 12, 14]),
             Transaction::new([50, 51, 52]),
         ]);
-        let labels = label_all(&data, &reps, &Jaccard, &MarketBasket, 0.5);
-        assert_eq!(labels, vec![Some(0), Some(1), None]);
+        let points: Vec<&Transaction> = data.iter().collect();
+        assert_eq!(label_many(&points, &reps, 1), vec![Some(0), Some(1), None]);
     }
 
     #[test]
@@ -516,7 +552,7 @@ mod tests {
 
     #[test]
     fn parallel_labeling_matches_sequential() {
-        // 300 points (past the parallel threshold) labeled both ways.
+        // 300 points (past the single-thread cutoff) labeled both ways.
         let sample = ts(vec![
             Transaction::new([0, 1, 2]),
             Transaction::new([0, 1, 2, 3]),
@@ -541,8 +577,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Transaction> = points.iter().collect();
-        let seq = label_many_parallel(&refs, &reps, &Jaccard, &MarketBasket, 0.4, 1);
-        let par = label_many_parallel(&refs, &reps, &Jaccard, &MarketBasket, 0.4, 4);
+        let seq = label_many(&refs, &reps, 1);
+        let par = label_many(&refs, &reps, 4);
         assert_eq!(seq, par);
         assert_eq!(seq[0], Some(0));
         assert_eq!(seq[1], Some(1));
@@ -550,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn label_stream_matches_label_all() {
+    fn label_stream_matches_label_point() {
         let (sample, clusters) = two_cluster_fixture();
         let cfg = LabelingConfig {
             representative_fraction: 1.0,
@@ -562,8 +598,10 @@ mod tests {
             Transaction::new([10, 11, 12, 14]),
             Transaction::new([50, 51, 52]),
         ];
-        let data: TransactionSet = points.clone().into_iter().collect();
-        let batch = label_all(&data, &reps, &Jaccard, &MarketBasket, 0.5);
+        let batch: Vec<Option<usize>> = points
+            .iter()
+            .map(|p| label_point(p, &reps, &Jaccard, &MarketBasket, 0.5))
+            .collect();
         let streamed: Vec<Option<usize>> =
             label_stream(points, &reps, &Jaccard, &MarketBasket, 0.5)
                 .map(|(_, l)| l)
@@ -578,10 +616,8 @@ mod tests {
         // `from_counts` formulas, so identical labels for every
         // measure, θ, and point — including points carrying items
         // outside the indexed universe.
-        use crate::similarity::{Cosine, Dice, Overlap};
-
         let mut rng = seeded_rng(7);
-        let universe = 96usize;
+        let universe = 96usize; // every representative item is below this
         let item = |rng: &mut crate::rng::Rng, lo: usize, span: usize| {
             u32::try_from(lo + rng.gen_range(0..span)).expect("small test universe")
         };
@@ -593,9 +629,8 @@ mod tests {
             })
             .collect();
         let reps = Representatives::from_sets(sets);
-        let dense = DenseReps::build(&reps, universe).expect("fits");
+        let dense = DenseReps::build(&reps).expect("fits");
         let mut scratch = Vec::new();
-        dense.prepare_scratch(&mut scratch);
 
         let points: Vec<Transaction> = (0..200)
             .map(|i| {
@@ -611,68 +646,43 @@ mod tests {
             })
             .collect();
 
-        fn check<S: Similarity>(
-            measure: &S,
-            from_counts: fn(usize, usize, usize) -> f64,
-            reps: &Representatives,
-            dense: &DenseReps,
-            points: &[Transaction],
-            theta: f64,
-            scratch: &mut [u64],
-        ) {
-            let exponent = MarketBasket.f(theta);
-            for p in points {
-                let scalar = label_point(p, reps, measure, &MarketBasket, theta);
-                let fast = dense.label_point(p, from_counts, theta, exponent, scratch);
-                assert_eq!(
-                    scalar,
-                    fast,
-                    "measure {} theta {theta} point {:?}",
-                    measure.name(),
-                    p.items()
-                );
-            }
-        }
-
         for theta in [0.2, 0.5, 0.8] {
-            let s = &mut scratch;
-            check(
-                &Jaccard,
-                Jaccard::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
-            check(&Dice, Dice::from_counts, &reps, &dense, &points, theta, s);
-            check(
-                &Overlap,
-                Overlap::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
-            check(
-                &Cosine,
-                Cosine::from_counts,
-                &reps,
-                &dense,
-                &points,
-                theta,
-                s,
-            );
+            let exponent = MarketBasket.f(theta);
+            for kind in [
+                SimilarityKind::Jaccard,
+                SimilarityKind::Dice,
+                SimilarityKind::Overlap,
+                SimilarityKind::Cosine,
+            ] {
+                for p in &points {
+                    let scalar = label_point(p, &reps, &kind, &MarketBasket, theta);
+                    let fast = dense.label_point(p, kind, theta, exponent, &mut scratch);
+                    assert_eq!(scalar, fast, "{kind:?} theta {theta} point {:?}", p.items());
+                }
+            }
         }
     }
 
     #[test]
     fn dense_index_gates_on_universe_size() {
-        let reps = Representatives::from_sets(vec![vec![Transaction::new([0, 1])]]);
-        assert!(DenseReps::build(&reps, 0).is_none());
-        assert!(DenseReps::build(&reps, MAX_DENSE_UNIVERSE + 1).is_none());
-        assert!(DenseReps::build(&reps, MAX_DENSE_UNIVERSE).is_some());
+        // The row width is derived from the representatives' largest
+        // item: `ceil((largest + 1) / 64)` words, packed only while
+        // `largest + 1 <= MAX_DENSE_UNIVERSE`.
+        let largest = |item: u32| {
+            let reps = Representatives::from_sets(vec![
+                vec![Transaction::new([0, 1]), Transaction::new([])],
+                vec![Transaction::new([2, item])],
+            ]);
+            DenseReps::build(&reps).map(|d| d.words)
+        };
+        assert_eq!(largest(63), Some(1));
+        assert_eq!(largest(64), Some(2));
+        let edge = u32::try_from(MAX_DENSE_UNIVERSE).expect("small constant");
+        assert_eq!(largest(edge - 1), Some(MAX_DENSE_UNIVERSE / 64));
+        assert_eq!(largest(edge), None);
+        // No representative holds an item: nothing to pack.
+        let empty = Representatives::from_sets(vec![vec![Transaction::new([])]]);
+        assert!(DenseReps::build(&empty).is_none());
     }
 
     #[test]

@@ -53,6 +53,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod agglomerate;
+mod bits;
 pub mod cast;
 pub mod checkpoint;
 pub mod components;

@@ -248,7 +248,7 @@ impl LinkTable {
         guard: &Guard,
     ) -> (Self, Option<Trip>) {
         let n = graph.len();
-        let threads = crate::neighbors::effective_threads(threads, n);
+        let threads = crate::shard::effective_threads(threads, n);
         let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         let state = ShardState {
             stop: AtomicBool::new(false),
@@ -524,7 +524,7 @@ mod tests {
     }
 
     /// A random graph with enough rows to clear the tiny-input
-    /// single-thread cutoff in [`effective_threads`], plus skewed
+    /// single-thread cutoff in [`crate::shard::effective_threads`], plus skewed
     /// degrees so shard boundaries actually move with the weights.
     fn random_graph(seed: u64) -> NeighborGraph {
         let mut rng = crate::rng::Rng::seed_from_u64(seed);

@@ -31,6 +31,7 @@ use crate::cast;
 use crate::data::TransactionSet;
 use crate::error::{Result, RockError};
 use crate::guard::{Guard, Trip};
+use crate::shard::effective_threads;
 use crate::similarity::Similarity;
 use crate::telemetry::trace::Payload;
 use crate::telemetry::{MemoryEstimate, MemoryGauges, Observer, Phase, PipelineCounters};
@@ -400,23 +401,6 @@ fn fill_row<S: Similarity>(
     }
 }
 
-/// Resolves a `threads` request: `0` means auto (one per CPU, capped), and
-/// tiny inputs stay single-threaded to avoid spawn overhead. Shared by
-/// every row-sharded phase (neighbors, links, labeling) so one knob means
-/// the same thing everywhere.
-pub(crate) fn effective_threads(requested: usize, n: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16);
-    let t = if requested == 0 { hw } else { requested };
-    if n < 256 {
-        1
-    } else {
-        t.min(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,12 +529,5 @@ mod tests {
         let r = g.restricted(&[0, 3]);
         assert_eq!(r.neighbors(0), &[] as &[u32]);
         assert_eq!(r.neighbors(1), &[] as &[u32]);
-    }
-
-    #[test]
-    fn effective_threads_resolution() {
-        assert_eq!(super::effective_threads(4, 100), 1); // tiny input
-        assert_eq!(super::effective_threads(4, 1000), 4);
-        assert!(super::effective_threads(0, 1000) >= 1);
     }
 }

@@ -44,6 +44,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::bits;
 use crate::cast;
 use crate::data::TransactionSet;
 use crate::guard::{Guard, Trip};
@@ -144,10 +145,7 @@ impl JoinIndex {
         let w = self.words_per_row;
         let ri = &self.dense[i * w..(i + 1) * w];
         let rj = &self.dense[j * w..(j + 1) * w];
-        ri.iter()
-            .zip(rj)
-            .map(|(x, y)| cast::u32_to_usize((x & y).count_ones()))
-            .sum()
+        bits::and_count(ri, rj)
     }
 }
 
@@ -334,9 +332,9 @@ fn build(
         buf.sort_unstable();
         if words_per_row > 0 {
             let row_w = i * words_per_row;
+            let row = &mut dense[row_w..row_w + words_per_row];
             for &r in &buf {
-                let r = cast::u32_to_usize(r);
-                dense[row_w + r / 64] |= 1u64 << (r % 64);
+                bits::set(row, cast::u32_to_usize(r));
             }
         }
         let pi = cast::u32_to_usize(prefix_by_len[t.len()]);

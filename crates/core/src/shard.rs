@@ -1,7 +1,8 @@
 //! Deterministic contiguous sharding of row ranges by estimated work.
 //!
 //! Every row-sharded kernel (the link kernel, DESIGN.md §13; the
-//! inverted-index neighbor join, DESIGN.md §17) partitions its rows into
+//! inverted-index neighbor join, DESIGN.md §17; labeling, §16) resolves
+//! its workers with [`effective_threads`] and partitions its rows into
 //! contiguous ranges so each worker writes a disjoint output slice with
 //! no synchronization. Balancing by *row count* alone is poor when work
 //! per row is skewed (hub rows dominate), so callers supply a per-row
@@ -12,6 +13,28 @@
 //! slice).
 
 use crate::cast;
+
+/// Resolves a `threads` request: `0` means auto (one per CPU, capped), and
+/// tiny inputs stay single-threaded to avoid spawn overhead. Shared by
+/// every row-sharded phase (neighbors, links, labeling) so one knob means
+/// the same thing everywhere.
+pub(crate) fn effective_threads(requested: usize, n: usize) -> usize {
+    // Tiny inputs return before the CPU query: on Linux it reads the
+    // cgroup quota files (tens of µs), which a single-point label_chunk
+    // call would otherwise pay on every request.
+    if n < 256 {
+        return 1;
+    }
+    let t = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(16)
+    } else {
+        requested
+    };
+    t.min(n)
+}
 
 /// Splits `0..weights.len()` into `shards` contiguous ranges balanced by
 /// the per-row work estimates. Returns `shards + 1` non-decreasing
@@ -55,6 +78,13 @@ mod tests {
         }
         let covered: usize = bounds.windows(2).map(|w| w[1] - w[0]).sum();
         assert_eq!(covered, n);
+    }
+
+    #[test]
+    fn effective_threads_resolution() {
+        assert_eq!(effective_threads(4, 100), 1); // tiny input
+        assert_eq!(effective_threads(4, 1000), 4);
+        assert!(effective_threads(0, 1000) >= 1);
     }
 
     #[test]

@@ -27,13 +27,13 @@ pub trait Similarity: Sync {
     /// **bit-for-bit equal** to
     /// `kind.sim_from_counts(a.intersection_len(b), a.len(), b.len())`.
     /// The neighbor phase uses it to route the graph build through the
-    /// inverted-index similarity join (DESIGN.md §17), whose size/prefix
-    /// filters and candidate verification evaluate exactly that
-    /// expression — so the joined graph is byte-identical to the
-    /// brute-force scan. Measures without a faithful count form (e.g.
-    /// [`HammingRecord`], whose denominator is the schema arity rather
-    /// than the set sizes) keep the default `None` and the brute-force
-    /// scan.
+    /// inverted-index similarity join (DESIGN.md §17), and labeling to
+    /// score points on the bit-packed representative index (§16); both
+    /// evaluate exactly that expression, so the joined graph equals the
+    /// brute-force scan and the labels equal the scalar `label_point`.
+    /// Measures without a faithful count form (e.g. [`HammingRecord`],
+    /// whose denominator is the schema arity rather than the set sizes)
+    /// keep the default `None`, the brute-force scan and scalar labeling.
     fn count_kind(&self) -> Option<SimilarityKind> {
         None
     }
